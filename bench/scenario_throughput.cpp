@@ -1,12 +1,19 @@
 // Scenario-engine throughput: jobs/sec of the bounded-queue worker pool.
 //
-// Runs a fixed in-memory job matrix (a full 12x8 source sweep plus a
-// seeded/faulty mix -- the shapes scenarios/*.json are made of) at several
-// worker counts, cold and warm plan cache, and reports jobs/sec, the mean
-// queue wait, and the plan-cache hit rate.  The interesting trends: jobs/sec
-// should scale with workers until the in-order collector serializes, queue
-// wait should stay near zero (backpressure, not buffering), and the warm
-// hit rate should approach 1 for cacheable protocols.
+// Runs a fixed in-memory job matrix (repeated all-sources sweeps of the
+// paper-sized 32x16 mesh plus a seeded/faulty mix -- the shapes
+// scenarios/*.json are made of; 96,560 jobs, so one timed run lasts
+// seconds, not milliseconds) at several worker counts, cold and warm plan
+// cache, and reports jobs/sec, the mean queue wait, and the plan-cache hit
+// rate.  The interesting trends: jobs/sec should scale with workers until
+// the in-order collector serializes, queue wait should stay near zero
+// (backpressure, not buffering), and the warm hit rate should approach 1
+// for cacheable protocols.
+//
+// Scaling gate: when the list holds both 1 and 2 workers, the 2-worker
+// warm rate must reach kMinScaling2w x the 1-worker warm rate of the same
+// run, or the bench exits 2.  A same-run ratio means the same on any box,
+// unlike an absolute rate recorded elsewhere.
 //
 //   $ scenario_throughput [--workers-list 1,2,0] [--json-out BENCH_scenario.json]
 //
@@ -30,18 +37,21 @@
 
 namespace {
 
+/// Lowest accepted 2-worker / 1-worker warm jobs/s ratio.
+constexpr double kMinScaling2w = 1.4;
+
 constexpr const char* kBenchSpec =
     "{\"name\": \"bench\", \"scenarios\": ["
-    "{\"name\": \"sweep\", \"family\": \"2D-4\", \"dims\": [12, 8],"
-    " \"sources\": \"all\", \"protocols\": [\"paper\"]},"
+    "{\"name\": \"sweep\", \"family\": \"2D-4\", \"dims\": [32, 16],"
+    " \"sources\": \"all\", \"protocols\": [\"paper\"], \"repeats\": 180},"
     "{\"name\": \"mixed\", \"family\": \"2D-8\", \"dims\": [8, 6],"
     " \"sources\": [0, 27], \"protocols\": [\"paper\", \"cds\","
-    " \"flooding\", \"gossip\"], \"seeds\": [1, 2], \"repeats\": 2},"
+    " \"flooding\", \"gossip\"], \"seeds\": [1, 2], \"repeats\": 200},"
     "{\"name\": \"faulty\", \"family\": \"2D-4\", \"dims\": [8, 6],"
     " \"sources\": [0], \"protocols\": [\"paper\"],"
     " \"faults\": [{\"kind\": \"iid\", \"loss\": 0.1}],"
     " \"recovery\": [\"none\", \"repeat-k\"], \"seeds\": [1, 2, 3],"
-    " \"repeats\": 4}]}";
+    " \"repeats\": 200}]}";
 
 struct ConfigResult {
   std::size_t workers = 0;
@@ -127,16 +137,35 @@ double timed_run(const wsn::JobMatrix& matrix, std::size_t workers,
              : 0.0;
 }
 
+/// 2-worker / 1-worker warm jobs/s, or 0 when either count was not run.
+double scaling_2w(const std::vector<AggregatedResult>& results) {
+  double one = 0.0;
+  double two = 0.0;
+  for (const AggregatedResult& r : results) {
+    if (r.workers == 1) one = r.warm_mean;
+    if (r.workers == 2) two = r.warm_mean;
+  }
+  return one > 0.0 && two > 0.0 ? two / one : 0.0;
+}
+
 bool write_scenario_bench_json(const std::string& path, std::size_t jobs,
-                               const std::vector<AggregatedResult>& results) {
+                               const std::vector<AggregatedResult>& results,
+                               double scaling) {
   std::ofstream out(path);
   if (!out) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return false;
   }
   out << "{\"schema\":\"meshbcast.bench.scenario\",\"version\":2,"
-      << "\"bench\":\"scenario_throughput\",\"jobs\":" << jobs
-      << ",\n \"results\":[";
+      << "\"bench\":\"scenario_throughput\",\"jobs\":" << jobs;
+  if (scaling > 0.0) {
+    char gate[96];
+    std::snprintf(gate, sizeof gate,
+                  ",\"scaling_2w\":%.3f,\"scaling_2w_min\":%.2f", scaling,
+                  kMinScaling2w);
+    out << gate;
+  }
+  out << ",\n \"results\":[";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const AggregatedResult& r = results[i];
     if (i != 0) out << ",";
@@ -229,11 +258,21 @@ int main(int argc, char** argv) {
   std::fputs(table.render().c_str(), stdout);
   std::filesystem::remove_all(tmp);
 
+  const double scaling = scaling_2w(aggregated);
+  const bool scaling_ok = scaling == 0.0 || scaling >= kMinScaling2w;
+  if (scaling == 0.0) {
+    std::puts("scaling gate: skipped (needs workers 1 and 2 in the list)");
+  } else {
+    std::printf("scaling gate: 2-worker warm = %.2fx 1-worker (min %.2fx): "
+                "%s\n",
+                scaling, kMinScaling2w, scaling_ok ? "ok" : "FAILED");
+  }
+
   const std::string json_path = cli.get("json-out");
   if (!json_path.empty() &&
-      !write_scenario_bench_json(json_path, matrix.jobs.size(),
-                                 aggregated)) {
+      !write_scenario_bench_json(json_path, matrix.jobs.size(), aggregated,
+                                 scaling)) {
     return 1;
   }
-  return 0;
+  return scaling_ok ? 0 : 2;
 }

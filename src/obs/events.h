@@ -10,10 +10,12 @@
 /// Every per-slot phenomenon the paper reasons about -- transmissions,
 /// receptions, the predictable collisions, scheduled relay activations --
 /// plus the extension semantics (fault losses, pipeline deferrals) maps to
-/// exactly one event kind.  Events are small PODs so a ring buffer of a
-/// million of them costs ~24 MB and recording one is a couple of stores;
-/// the simulator emits them only when an Observer is installed
-/// (sim/simulator.h), so the uninstrumented hot path stays untouched.
+/// exactly one event kind.  Events are small 24-byte PODs and recording
+/// one is a couple of stores; the sink's ring grows on demand
+/// (obs/event_sink.h), so a run pays for the events it records, not for
+/// the ring's million-event capacity.  The simulator emits events only
+/// when an Observer is installed (sim/simulator.h), so the uninstrumented
+/// hot path stays untouched.
 ///
 /// The schema is versioned: exporters (obs/export.h) stamp
 /// `kEventSchemaVersion` into their headers so downstream tooling can

@@ -42,6 +42,12 @@ namespace {
 constexpr std::string_view kResultsSchema = "meshbcast.scenario.results";
 constexpr std::string_view kManifestSchema = "meshbcast.scenario.checkpoint";
 constexpr int kSchemaVersion = 1;
+/// Checkpoint cadence: the results file is flushed and the manifest
+/// rewritten once this many records have been emitted since the last
+/// flush, once this much time has passed since it (checked as records are
+/// emitted), and when the run completes or is cancelled.
+constexpr std::size_t kCheckpointRecords = 256;
+constexpr std::chrono::milliseconds kCheckpointInterval{100};
 
 std::string fingerprint_hex(std::uint64_t fingerprint) {
   char buf[24];
@@ -233,96 +239,102 @@ ExecResult execute_job(const JobMatrix& matrix, const ScenarioJob& job,
     std::vector<double> etx_quality;  // etx protocol: learned CSR span
     const FlatRelayPlan* flat = nullptr;  // store fast path, kNone only
     std::shared_ptr<const StoredPlan> stored;
-    const bool cacheable =
-        job.protocol == "paper" || job.protocol == "cds";
-    if (cacheable && store != nullptr) {
-      stored = store->fetch_or_compile(
-          topo, job.source, job.protocol, plan_options,
-          [&](ResolveReport& report) {
-            return job.protocol == "paper"
-                       ? paper_plan(topo, job.source, plan_options, &report)
-                       : CdsBroadcast{}.plan(topo, job.source);
-          });
-      repairs = stored->report.repairs;
-      unrepaired = stored->report.unrepaired;
-      if (job.recovery == RecoveryPolicy::kNone) {
-        flat = &stored->plan;
+    {
+      WSN_SPAN("scenario.plan");
+      const bool cacheable =
+          job.protocol == "paper" || job.protocol == "cds";
+      if (cacheable && store != nullptr) {
+        stored = store->fetch_or_compile(
+            topo, job.source, job.protocol, plan_options,
+            [&](ResolveReport& report) {
+              return job.protocol == "paper"
+                         ? paper_plan(topo, job.source, plan_options, &report)
+                         : CdsBroadcast{}.plan(topo, job.source);
+            });
+        repairs = stored->report.repairs;
+        unrepaired = stored->report.unrepaired;
+        if (job.recovery == RecoveryPolicy::kNone) {
+          flat = &stored->plan;
+        } else {
+          plan = stored->plan.to_relay_plan();
+        }
+      } else if (job.protocol == "paper") {
+        ResolveReport report;
+        plan = paper_plan(topo, job.source, plan_options, &report);
+        repairs = report.repairs;
+        unrepaired = report.unrepaired;
+      } else if (job.protocol == "cds") {
+        plan = CdsBroadcast{}.plan(topo, job.source);
+      } else if (job.protocol == "etx") {
+        // Learn the channel from a dedicated probe stream.  The probe model
+        // gets its own salt -- NOT the run channel's -- so the estimator
+        // samples the channel's statistics, never the exact counter-mode
+        // draws the simulation below will replay (no clairvoyant plans).
+        // Never cached: the plan depends on the learned quality, which is
+        // not part of the plan store's fingerprint.
+        if (job.fault.kind == ScenarioFault::Kind::kIid) {
+          IidLossModel probe(job.fault.loss, mix_seed(trial_seed, 0xe57ull));
+          etx_quality = estimate_link_quality(topo, probe);
+        } else if (job.fault.kind == ScenarioFault::Kind::kGilbert) {
+          GilbertElliottModel probe = GilbertElliottModel::from_mean_loss(
+              job.fault.loss, job.fault.burst, mix_seed(trial_seed, 0xe57ull));
+          etx_quality = estimate_link_quality(topo, probe);
+        }
+        ResolveReport report;
+        plan = etx_plan(topo, job.source, etx_quality, plan_options, &report);
+        repairs = report.repairs;
+        unrepaired = report.unrepaired;
+      } else if (job.protocol == "flooding") {
+        plan = Flooding(entry.jitter, trial_seed).plan(topo, job.source);
       } else {
-        plan = stored->plan.to_relay_plan();
+        WSN_ASSERT(job.protocol == "gossip");
+        plan = Gossip(entry.gossip_p, entry.jitter, trial_seed)
+                   .plan(topo, job.source);
       }
-    } else if (job.protocol == "paper") {
-      ResolveReport report;
-      plan = paper_plan(topo, job.source, plan_options, &report);
-      repairs = report.repairs;
-      unrepaired = report.unrepaired;
-    } else if (job.protocol == "cds") {
-      plan = CdsBroadcast{}.plan(topo, job.source);
-    } else if (job.protocol == "etx") {
-      // Learn the channel from a dedicated probe stream.  The probe model
-      // gets its own salt -- NOT the run channel's -- so the estimator
-      // samples the channel's statistics, never the exact counter-mode
-      // draws the simulation below will replay (no clairvoyant plans).
-      // Never cached: the plan depends on the learned quality, which is
-      // not part of the plan store's fingerprint.
-      if (job.fault.kind == ScenarioFault::Kind::kIid) {
-        IidLossModel probe(job.fault.loss, mix_seed(trial_seed, 0xe57ull));
-        etx_quality = estimate_link_quality(topo, probe);
-      } else if (job.fault.kind == ScenarioFault::Kind::kGilbert) {
-        GilbertElliottModel probe = GilbertElliottModel::from_mean_loss(
-            job.fault.loss, job.fault.burst, mix_seed(trial_seed, 0xe57ull));
-        etx_quality = estimate_link_quality(topo, probe);
+      // Adaptive recovery does not rewrite the plan -- it reacts at run
+      // time (fault/adaptive.h), so only the static policies rewrite here.
+      if (job.recovery != RecoveryPolicy::kNone &&
+          job.recovery != RecoveryPolicy::kAdaptive) {
+        plan = apply_recovery(topo, std::move(plan), job.recovery,
+                              entry.repeat_k);
       }
-      ResolveReport report;
-      plan = etx_plan(topo, job.source, etx_quality, plan_options, &report);
-      repairs = report.repairs;
-      unrepaired = report.unrepaired;
-    } else if (job.protocol == "flooding") {
-      plan = Flooding(entry.jitter, trial_seed).plan(topo, job.source);
-    } else {
-      WSN_ASSERT(job.protocol == "gossip");
-      plan = Gossip(entry.gossip_p, entry.jitter, trial_seed)
-                 .plan(topo, job.source);
+      planned_tx =
+          flat != nullptr ? flat->total_offsets() : plan.planned_tx();
     }
-    // Adaptive recovery does not rewrite the plan -- it reacts at run
-    // time (fault/adaptive.h), so only the static policies rewrite here.
-    if (job.recovery != RecoveryPolicy::kNone &&
-        job.recovery != RecoveryPolicy::kAdaptive) {
-      plan = apply_recovery(topo, std::move(plan), job.recovery,
-                            entry.repeat_k);
-    }
-    planned_tx =
-        flat != nullptr ? flat->total_offsets() : plan.planned_tx();
 
     // --- faults -------------------------------------------------------
     // One model instance per job (they are stateful); sub-seeds are
     // derived with distinct salts so loss and crash draws never alias.
     std::vector<std::unique_ptr<FaultModel>> owned;
-    if (job.fault.kind == ScenarioFault::Kind::kIid) {
-      owned.push_back(std::make_unique<IidLossModel>(
-          job.fault.loss, mix_seed(trial_seed, 0x10551ull)));
-    } else if (job.fault.kind == ScenarioFault::Kind::kGilbert) {
-      owned.push_back(
-          std::make_unique<GilbertElliottModel>(GilbertElliottModel::from_mean_loss(
-              job.fault.loss, job.fault.burst,
-              mix_seed(trial_seed, 0x91b3ull))));
-    }
-    if (job.fault.crash_prob > 0.0) {
-      owned.push_back(std::make_unique<CrashScheduleModel>(
-          CrashScheduleModel::sample(topo.num_nodes(), job.fault.crash_prob,
-                                     job.fault.crash_horizon,
-                                     job.fault.crash_outage,
-                                     mix_seed(trial_seed, 0xc4a5ull))));
-    }
-    std::vector<FaultModel*> parts;
-    parts.reserve(owned.size());
-    for (auto& model : owned) parts.push_back(model.get());
     std::unique_ptr<CompositeFaultModel> composite;
     FaultModel* faults = nullptr;
-    if (parts.size() == 1) {
-      faults = parts.front();
-    } else if (parts.size() > 1) {
-      composite = std::make_unique<CompositeFaultModel>(parts);
-      faults = composite.get();
+    {
+      WSN_SPAN("scenario.faults");
+      if (job.fault.kind == ScenarioFault::Kind::kIid) {
+        owned.push_back(std::make_unique<IidLossModel>(
+            job.fault.loss, mix_seed(trial_seed, 0x10551ull)));
+      } else if (job.fault.kind == ScenarioFault::Kind::kGilbert) {
+        owned.push_back(std::make_unique<GilbertElliottModel>(
+            GilbertElliottModel::from_mean_loss(
+                job.fault.loss, job.fault.burst,
+                mix_seed(trial_seed, 0x91b3ull))));
+      }
+      if (job.fault.crash_prob > 0.0) {
+        owned.push_back(std::make_unique<CrashScheduleModel>(
+            CrashScheduleModel::sample(topo.num_nodes(), job.fault.crash_prob,
+                                       job.fault.crash_horizon,
+                                       job.fault.crash_outage,
+                                       mix_seed(trial_seed, 0xc4a5ull))));
+      }
+      std::vector<FaultModel*> parts;
+      parts.reserve(owned.size());
+      for (auto& model : owned) parts.push_back(model.get());
+      if (parts.size() == 1) {
+        faults = parts.front();
+      } else if (parts.size() > 1) {
+        composite = std::make_unique<CompositeFaultModel>(parts);
+        faults = composite.get();
+      }
     }
 
     // --- simulate -----------------------------------------------------
@@ -353,6 +365,7 @@ ExecResult execute_job(const JobMatrix& matrix, const ScenarioJob& job,
 
     if (audit) {
       enter("audit");
+      WSN_SPAN("scenario.audit");
       AuditConfig audit_config;
       audit_config.packet_bits = entry.packet_bits;
       audit_config.source = job.source;
@@ -411,6 +424,7 @@ ExecResult execute_job(const JobMatrix& matrix, const ScenarioJob& job,
   }
 
   // --- record ---------------------------------------------------------
+  WSN_SPAN("scenario.record");
   const BroadcastStats& stats = outcome.stats;
   line << ",\"family\":\"" << json_escape(entry.family) << "\",\"dims\":["
        << entry.m << "," << entry.n << "," << entry.l << "]"
@@ -472,6 +486,8 @@ struct ScenarioEngine::Impl {
   std::string manifest_prefix;  // everything before the emitted count
   std::size_t jobs_total = 0;
   std::size_t emitted = 0;
+  std::size_t unflushed = 0;  // records written since the last checkpoint
+  std::chrono::steady_clock::time_point last_checkpoint;
   std::size_t errors = 0;
   std::vector<ScenarioEnvelope>* envelopes = nullptr;
   double queue_wait_ms_sum = 0.0;
@@ -738,6 +754,16 @@ RunSummary ScenarioEngine::run(const std::string& results_path) {
              << ",\"complete\":" << (complete ? "true" : "false") << "}\n";
   };
   write_manifest(completed, completed == summary.jobs_total);
+  impl.last_checkpoint = std::chrono::steady_clock::now();
+  // Hands every record emitted so far to the OS, then lets the manifest
+  // claim them -- so the manifest never counts a record the results file
+  // lacks.  Caller holds the collector lock (or the workers have joined).
+  const auto checkpoint = [&] {
+    if (impl.out.is_open()) impl.out.flush();
+    write_manifest(impl.emitted, impl.emitted == impl.jobs_total);
+    impl.unflushed = 0;
+    impl.last_checkpoint = std::chrono::steady_clock::now();
+  };
 
   {
     const std::lock_guard<std::mutex> lock(run_mutex_);
@@ -755,10 +781,10 @@ RunSummary ScenarioEngine::run(const std::string& results_path) {
     std::size_t notify_errors = 0;
     bool resolved_here = true;
     // Time the whole serialized section -- collector-lock acquisition,
-    // in-order flush and manifest rewrite -- as "emission stall": the
-    // serial tail every worker pays per completed job.  The clock is read
-    // only when the histogram is bound; the WSN_SPAN costs one relaxed
-    // load when profiling is fully off.
+    // in-order write and any checkpoint it triggers -- as "emission
+    // stall": the serial tail every worker pays per completed job.  The
+    // clock is read only when the histogram is bound; the WSN_SPAN costs
+    // one relaxed load when profiling is fully off.
     std::chrono::steady_clock::time_point stall_start{};
     if (impl.emit_stall_metric != nullptr) {
       stall_start = std::chrono::steady_clock::now();
@@ -777,10 +803,7 @@ RunSummary ScenarioEngine::run(const std::string& results_path) {
         while (true) {
           const auto it = impl.pending.find(impl.next_to_emit);
           if (it == impl.pending.end()) break;
-          if (impl.out.is_open()) {
-            impl.out << it->second.line << '\n';
-            impl.out.flush();
-          }
+          if (impl.out.is_open()) impl.out << it->second.line << '\n';
           if (config_.on_record) {
             config_.on_record(impl.next_to_emit, it->second.line);
           }
@@ -797,7 +820,16 @@ RunSummary ScenarioEngine::run(const std::string& results_path) {
           impl.pending.erase(it);
           impl.next_to_emit += 1;
           impl.emitted += 1;
-          write_manifest(impl.emitted, impl.emitted == impl.jobs_total);
+          if (impl.out.is_open() &&
+              (++impl.unflushed >= kCheckpointRecords ||
+               impl.emitted == impl.jobs_total)) {
+            checkpoint();
+          }
+        }
+        if (impl.unflushed > 0 &&
+            std::chrono::steady_clock::now() - impl.last_checkpoint >=
+                kCheckpointInterval) {
+          checkpoint();
         }
         notify_emitted = impl.emitted;
         notify_errors = impl.errors;
@@ -1025,7 +1057,14 @@ RunSummary ScenarioEngine::run(const std::string& results_path) {
           : impl.queue_wait_ms_sum /
                 static_cast<double>(impl.queue_wait_samples);
   summary.envelopes = std::move(envelopes);
-  write_manifest(summary.emitted, summary.emitted == summary.jobs_total);
+  checkpoint();
+  // Records are buffered between checkpoints, so a failed write (a full
+  // disk) may only show at the last flush; report it, never a short file
+  // that claims success.
+  if (impl.out.is_open() && !impl.out) {
+    summary.ok = false;
+    summary.error = "write to " + results_path + " failed";
+  }
   return summary;
 }
 

@@ -41,9 +41,18 @@
 ///     never a crash.  A resumed run's final file is byte-identical to an
 ///     uninterrupted one.
 ///
-/// A sidecar manifest (`<results>.manifest`) mirrors progress for cheap
-/// outside inspection; it is advisory -- the results file is the source of
-/// truth and a missing or corrupt manifest is ignored.
+/// Checkpoint cadence.  Records enter the results stream one by one in
+/// index order, but the stream is flushed -- and the sidecar manifest
+/// (`<results>.manifest`) rewritten -- only every 256 emitted records,
+/// every 100 ms (checked as records are emitted), and when the run
+/// completes or is cancelled.  A manifest is written only after the flush
+/// it describes, so it never counts a record the results file lacks.  A
+/// killed process loses at most the unflushed tail, which `--resume`
+/// simply redoes.
+///
+/// The manifest mirrors progress for cheap outside inspection; it is
+/// advisory -- the results file is the source of truth and a missing or
+/// corrupt manifest is ignored.
 namespace wsn {
 
 class TelemetrySampler;
@@ -73,8 +82,8 @@ struct EngineConfig {
   /// External cancellation flag, polled between jobs (nullable).  Safe to
   /// set from a signal handler.
   const std::atomic<bool>* cancel = nullptr;
-  /// Called after each record hits the stream with the total emitted so
-  /// far (resumed records included).  Runs on a worker thread; used for
+  /// Called after each record enters the stream with the total emitted
+  /// so far (resumed records included).  Runs on a worker thread; used for
   /// progress display and by the kill/resume tests.
   std::function<void(std::size_t emitted)> on_emit;
   /// Audit every simulated job's event stream in-line (obs/audit) and

@@ -386,10 +386,11 @@ void MeshbcastService::worker_loop() {
       m_.workers_busy->set(
           static_cast<double>(busy_.load(std::memory_order_relaxed)));
     }
-    {
-      const std::lock_guard<std::mutex> lock(work->pending->mutex);
-      work->pending->done = true;
-    }
+    // Notify under the latch's mutex: once the handler sees `done` it
+    // returns and destroys the latch, so the condition variable must not
+    // be touched after the mutex is released.
+    const std::lock_guard<std::mutex> lock(work->pending->mutex);
+    work->pending->done = true;
     work->pending->cv.notify_one();
   }
 }

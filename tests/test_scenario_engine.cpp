@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -295,6 +296,84 @@ TEST(ScenarioEngine, ManifestMirrorsProgress) {
   EXPECT_DOUBLE_EQ(manifest.number_or("emitted", -1.0), 12.0);
   EXPECT_DOUBLE_EQ(manifest.number_or("jobs", -1.0), 12.0);
   EXPECT_TRUE(manifest.bool_or("complete", false));
+}
+
+/// Record lines of a results file that are complete (newline-terminated),
+/// header excluded.
+std::size_t complete_record_lines(const std::string& text) {
+  const std::size_t lines =
+      static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n'));
+  return lines == 0 ? 0 : lines - 1;
+}
+
+// A 300-job matrix of cheap analytic jobs: crosses the 256-record flush
+// cadence once.
+constexpr const char* kCheckpointSpec =
+    "{\"name\": \"checkpoint-test\", \"scenarios\": [{"
+    "\"name\": \"wide\", \"family\": \"2D-4\", \"dims\": [20, 15],"
+    "\"sources\": \"all\", \"protocols\": [\"ideal\"]}]}";
+
+TEST(ScenarioEngine, ManifestNeverCountsMoreThanTheResultsFileHolds) {
+  const TempDir tmp("checkpoint");
+  JobMatrix matrix;
+  expand(kCheckpointSpec, matrix);
+  ASSERT_EQ(matrix.jobs.size(), 300u);
+  const std::string out = (tmp.path / "out.jsonl").string();
+
+  // Sampled after every emission: whatever the manifest claims is on disk.
+  EngineConfig config;
+  config.workers = 2;
+  std::atomic<std::size_t> samples{0};
+  std::atomic<std::size_t> violations{0};
+  config.on_emit = [&](std::size_t) {
+    JsonValue manifest;
+    if (!parse_json(read_file(out + ".manifest"), manifest)) return;
+    samples += 1;
+    const auto claimed =
+        static_cast<std::size_t>(manifest.number_or("emitted", -1.0));
+    if (claimed > complete_record_lines(read_file(out))) violations += 1;
+  };
+  ScenarioEngine engine(matrix, config);
+  const RunSummary summary = engine.run(out);
+  ASSERT_TRUE(summary.ok) << summary.error;
+  EXPECT_GT(samples.load(), 0u);
+  EXPECT_EQ(violations.load(), 0u);
+
+  // A completed run still ends on a complete manifest.
+  JsonValue manifest;
+  ASSERT_TRUE(parse_json(read_file(out + ".manifest"), manifest));
+  EXPECT_DOUBLE_EQ(manifest.number_or("emitted", -1.0), 300.0);
+  EXPECT_TRUE(manifest.bool_or("complete", false));
+  EXPECT_EQ(complete_record_lines(read_file(out)), 300u);
+}
+
+TEST(ScenarioEngine, CancelledRunCheckpointsEveryEmittedRecord) {
+  const TempDir tmp("checkpoint_cancel");
+  JobMatrix matrix;
+  expand(kCheckpointSpec, matrix);
+  const std::string out = (tmp.path / "out.jsonl").string();
+
+  // Cancel past the first count-triggered flush, between two of them.
+  EngineConfig config;
+  config.workers = 1;
+  ScenarioEngine* handle = nullptr;
+  config.on_emit = [&handle](std::size_t emitted) {
+    if (emitted >= 270) handle->request_cancel();
+  };
+  ScenarioEngine engine(matrix, config);
+  handle = &engine;
+  const RunSummary summary = engine.run(out);
+  ASSERT_TRUE(summary.ok) << summary.error;
+  ASSERT_TRUE(summary.cancelled);
+  ASSERT_LT(summary.emitted, 300u);
+
+  JsonValue manifest;
+  ASSERT_TRUE(parse_json(read_file(out + ".manifest"), manifest));
+  const std::size_t lines = complete_record_lines(read_file(out));
+  EXPECT_EQ(lines, summary.emitted);
+  EXPECT_DOUBLE_EQ(manifest.number_or("emitted", -1.0),
+                   static_cast<double>(lines));
+  EXPECT_FALSE(manifest.bool_or("complete", true));
 }
 
 TEST(ScenarioEngine, MetricsMirrorCountsJobs) {
