@@ -4,9 +4,9 @@
 // Tables 3-5.
 //
 // Besides the interactive google-benchmark output, the binary self-times
-// one broadcast per paper topology and writes BENCH_perf.json
-// (meshbcast.bench schema, see EXPERIMENTS.md) so CI can archive the perf
-// trajectory:
+// one plan compile and one broadcast per paper topology and writes
+// BENCH_perf.json (meshbcast.bench schema, see EXPERIMENTS.md) so CI can
+// archive the perf trajectory:
 //
 //   $ perf_simulator [--json-out BENCH_perf.json] [--no-gbench] [gbench args]
 
@@ -82,13 +82,18 @@ void BM_FullSweep2D4(benchmark::State& state) {
 }
 BENCHMARK(BM_FullSweep2D4)->Unit(benchmark::kMillisecond);
 
-// One self-timed broadcast per paper topology (center source) plus the
-// parallel full sweep -- the numbers the BENCH_perf.json trajectory tracks.
+// One self-timed plan compile (paper_plan: protocol rules plus the
+// resolver's probe simulations) and one self-timed broadcast per paper
+// topology (center source), plus the parallel full sweep -- the numbers
+// the BENCH_perf.json trajectory tracks.
 std::vector<wsn::bench::BenchResult> run_json_benches() {
   std::vector<wsn::bench::BenchResult> results;
   for (const std::string& family : wsn::regular_families()) {
     const auto topo = wsn::make_paper_topology(family);
     const wsn::NodeId src = wsn::graph_center(*topo);
+    results.push_back(wsn::bench::measure("compile/" + family, [&] {
+      benchmark::DoNotOptimize(wsn::paper_plan(*topo, src));
+    }));
     const wsn::RelayPlan plan = wsn::paper_plan(*topo, src);
     results.push_back(wsn::bench::measure("simulate/" + family, [&] {
       benchmark::DoNotOptimize(wsn::simulate_broadcast(*topo, plan));

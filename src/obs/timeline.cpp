@@ -78,8 +78,17 @@ Timeline::Ring& Timeline::local_ring() {
   // suites reuse pool threads; the owner check keeps the cached pointer
   // honest if a second Timeline ever exists (it does not today).
   if (ring == nullptr || owner != this) {
+    // Fill the ring (2 MB at the default capacity) outside the registry
+    // lock: threads registering together would otherwise zero their rings
+    // one after another, and a late-starting worker could miss a short run.
+    std::size_t capacity = 0;
+    {
+      const std::lock_guard<std::mutex> lock(registry_mutex_);
+      capacity = capacity_pow2_;
+    }
+    auto fresh = std::make_unique<Ring>(capacity);
     const std::lock_guard<std::mutex> lock(registry_mutex_);
-    rings_.push_back(std::make_unique<Ring>(capacity_pow2_));
+    rings_.push_back(std::move(fresh));
     ring = rings_.back().get();
     owner = this;
   }

@@ -28,6 +28,13 @@
 /// prefix is unchanged and each round strictly grows the reached set;
 /// termination in ≤ eccentricity rounds is guaranteed.
 ///
+/// Cost: one probe simulation per distinct plan the resolver tries.  Each
+/// phase carries the outcome of its last probe forward rather than
+/// simulating the same plan again (a plan that is already complete costs
+/// exactly one probe), and the per-node scratch is allocated at most once
+/// per call and reused across rounds.  The algorithm itself lives in
+/// protocol/resolver_core.h, shared with the implicit-lattice path.
+///
 /// The repairs become ordinary plan offsets, so every reported Tx / energy
 /// / delay number includes their full cost.
 namespace wsn {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <utility>
 #include <vector>
 
@@ -27,6 +28,17 @@
 /// sets and simulation outcomes; byte-identical neighbor iteration plus
 /// bit-identical outcomes therefore force identical resolved plans, which
 /// tests/test_implicit_plan.cpp asserts per family.
+///
+/// Cost: probe simulations dominate, and each distinct probe plan is
+/// simulated exactly once -- every phase hands the outcome of its last
+/// probe to the next step instead of re-simulating the unchanged plan, so
+/// an already-complete plan costs one probe.  The per-node scratch
+/// (unreached flags, the CSR index of heard slots, per-round claims) is
+/// allocated at most once per resolve call and reset through the
+/// unreached list, so the resolver's own bookkeeping allocates nothing
+/// proportional to n per round (each probe's BroadcastOutcome is the
+/// simulator's).
+/// tests/test_resolver.cpp pins the probe counts over every paper source.
 namespace wsn::resolver_core {
 
 template <typename Net>
@@ -50,75 +62,150 @@ template <typename Net>
   return false;
 }
 
+/// A plan together with the outcome of simulating it, so the next phase
+/// starts from the outcome instead of simulating the same plan again.
+struct ProbedPlan {
+  RelayPlan plan;
+  BroadcastOutcome outcome;
+};
+
+/// Per-node scratch shared by both phases of one resolve call.  It is
+/// sized the first time a probe leaves someone unreached (a plan that is
+/// complete on its first probe allocates none of it), and every flag is
+/// set only for nodes on the unreached list, so `load` resets them through
+/// the previous list instead of refilling O(n) vectors.
+struct ResolveScratch {
+  /// Clears the previous round's flags, then lists and flags the nodes
+  /// `outcome` leaves unreached.
+  void load(const BroadcastOutcome& outcome) {
+    for (NodeId u : unreached) {
+      is_unreached[u] = 0;
+      covered[u] = 0;
+      claimed[u].clear();
+    }
+    unreached.clear();
+    const std::size_t n = outcome.first_rx.size();
+    for (NodeId v = 0; v < n; ++v) {
+      if (outcome.first_rx[v] == kNeverSlot) unreached.push_back(v);
+    }
+    if (unreached.empty()) return;
+    if (is_unreached.size() != n) {
+      is_unreached.assign(n, 0);
+      covered.assign(n, 0);
+      claimed.assign(n, {});
+    }
+    for (NodeId u : unreached) is_unreached[u] = 1;
+  }
+
+  /// Rebuilds the CSR index of the slots at which each node hears some
+  /// neighbor transmit.  Transmissions arrive in slot order, so filling
+  /// each node's slice back to front from the last transmission leaves it
+  /// sorted without a sort.
+  template <typename Net>
+  void index_heard(const Net& net, const BroadcastOutcome& outcome) {
+    heard_begin.assign(net.num_nodes() + 1, 0);
+    Slot prev = 0;
+    for (const TxRecord& rec : outcome.transmissions) {
+      WSN_ASSERT(rec.slot >= prev);
+      prev = rec.slot;
+      for (NodeId u : net.neighbors(rec.node)) ++heard_begin[u];
+    }
+    // Inclusive prefix sum: heard_begin[u] becomes the end of u's slice
+    // (and the sentinel heard_begin[n] the total); the back-to-front fill
+    // then walks each entry down to its slice's start.
+    for (std::size_t u = 1; u < heard_begin.size(); ++u) {
+      heard_begin[u] += heard_begin[u - 1];
+    }
+    heard.resize(heard_begin.back());
+    for (auto it = outcome.transmissions.rbegin();
+         it != outcome.transmissions.rend(); ++it) {
+      for (NodeId u : net.neighbors(it->node)) {
+        heard[--heard_begin[u]] = it->slot;
+      }
+    }
+  }
+
+  /// True if some neighbor of `u` transmits in slot `s`.
+  [[nodiscard]] bool heard_at(NodeId u, Slot s) const {
+    const Slot* base = heard.data();
+    return std::binary_search(base + heard_begin[u], base + heard_begin[u + 1],
+                              s);
+  }
+
+  /// True if this round's repairs already claimed slot `s` at `u`.
+  [[nodiscard]] bool claimed_at(NodeId u, Slot s) const {
+    const auto& slots = claimed[u];
+    return std::find(slots.begin(), slots.end(), s) != slots.end();
+  }
+
+  std::vector<NodeId> unreached;
+  std::vector<char> is_unreached;
+  std::vector<char> covered;
+  /// Slots already claimed by this round's repairs, per unreached node, so
+  /// two repairs placed in the same round don't collide at a shared victim.
+  std::vector<std::vector<Slot>> claimed;
+  /// heard[heard_begin[u] .. heard_begin[u + 1]) = sorted slots heard at u.
+  std::vector<std::size_t> heard_begin;
+  std::vector<Slot> heard;
+};
+
+/// The reached neighbor of `u` that got the message first (ties by lower
+/// id), or kInvalidNode if no neighbor holds it.
+template <typename Net>
+[[nodiscard]] NodeId pick_helper(const Net& net,
+                                 const BroadcastOutcome& outcome, NodeId u) {
+  NodeId helper = kInvalidNode;
+  Slot helper_rx = kNeverSlot;
+  for (NodeId h : net.neighbors(u)) {
+    if (outcome.first_rx[h] == kNeverSlot) continue;  // no message
+    if (outcome.first_rx[h] < helper_rx ||
+        (outcome.first_rx[h] == helper_rx && h < helper)) {
+      helper = h;
+      helper_rx = outcome.first_rx[h];
+    }
+  }
+  return helper;
+}
+
 /// Optimistic repair phase: gives helpers an immediate retransmission (one
 /// slot after their last scheduled transmission), the way the paper's own
 /// gray nodes retransmit "in next time slot".  Early retransmissions change
 /// downstream collision dynamics, so this iterates to a fixpoint, keeps the
 /// best plan seen, and gives up after a few non-improving rounds -- the
 /// guaranteed quiet-slot phase finishes whatever is left.
+///
+/// Each distinct plan is simulated once: an iteration starts from the
+/// outcome of the previous iteration's probe, and the returned plan comes
+/// with its outcome.
 template <typename Net, typename SimT>
-RelayPlan optimistic_repairs(const Net& net, RelayPlan plan,
-                             const SimOptions& options,
-                             ResolveReport& report, SimT& sim) {
+ProbedPlan optimistic_repairs(const Net& net, RelayPlan plan,
+                              const SimOptions& options, ResolveReport& report,
+                              SimT& sim, ResolveScratch& scratch) {
   constexpr std::size_t kPatience = 3;
   constexpr std::size_t kMaxIters = 48;
   constexpr Slot kMaxProbe = 8;  // how far past the helper's last tx we look
 
-  const std::size_t n = net.num_nodes();
+  // `outcome` always describes `plan`, and `scratch` is loaded from it.
+  BroadcastOutcome outcome = sim.run(net, plan, options);
+  scratch.load(outcome);
+  if (scratch.unreached.empty()) return {std::move(plan), std::move(outcome)};
+
   RelayPlan best = plan;
-  std::size_t best_unreached = sim.run(net, best, options).unreached().size();
+  // While stall == 0, `best` equals `plan` and its outcome is `outcome`;
+  // best_outcome is filled only once `plan` moves past `best`.
+  BroadcastOutcome best_outcome;
+  std::size_t best_unreached = scratch.unreached.size();
   std::size_t stall = 0;
 
-  // Sorted per-node slots at which some neighbor transmitted; lets a repair
-  // be placed into a slot that is quiet at every victim.
-  std::vector<std::vector<Slot>> heard_slots(n);
-  const auto neighbor_tx_at = [&](NodeId u, Slot s) {
-    const auto& slots = heard_slots[u];
-    return std::binary_search(slots.begin(), slots.end(), s);
-  };
-
   for (std::size_t iter = 0; iter < kMaxIters && best_unreached > 0; ++iter) {
-    const BroadcastOutcome outcome = sim.run(net, plan, options);
-    const std::vector<NodeId> unreached = outcome.unreached();
-    if (unreached.empty()) {
-      report.rounds += 1;
-      return plan;
-    }
+    scratch.index_heard(net, outcome);
 
-    for (auto& slots : heard_slots) slots.clear();
-    for (const TxRecord& rec : outcome.transmissions) {
-      for (NodeId u : net.neighbors(rec.node)) {
-        heard_slots[u].push_back(rec.slot);
-      }
-    }
-    for (auto& slots : heard_slots) std::sort(slots.begin(), slots.end());
-
-    std::vector<char> is_unreached(n, 0);
-    for (NodeId u : unreached) is_unreached[u] = 1;
-
-    // Tracks slots already claimed by this round's repairs, per node, so two
-    // repairs placed in the same round don't collide at a shared victim.
-    std::vector<std::vector<Slot>> claimed(n);
-    const auto claimed_at = [&](NodeId u, Slot s) {
-      const auto& slots = claimed[u];
-      return std::find(slots.begin(), slots.end(), s) != slots.end();
-    };
-
-    std::vector<char> covered(n, 0);
     std::size_t added = 0;
-    for (NodeId u : unreached) {
-      if (covered[u]) continue;
-      NodeId helper = kInvalidNode;
-      Slot helper_rx = kNeverSlot;
-      for (NodeId h : net.neighbors(u)) {
-        if (outcome.first_rx[h] == kNeverSlot) continue;
-        if (outcome.first_rx[h] < helper_rx ||
-            (outcome.first_rx[h] == helper_rx && h < helper)) {
-          helper = h;
-          helper_rx = outcome.first_rx[h];
-        }
-      }
+    for (NodeId u : scratch.unreached) {
+      if (scratch.covered[u]) continue;
+      const NodeId helper = pick_helper(net, outcome, u);
       if (helper == kInvalidNode) continue;
+      const Slot helper_rx = outcome.first_rx[helper];
 
       // Place the retransmission in the earliest slot after the helper's
       // last transmission that (a) is quiet at each of its unreached
@@ -132,12 +219,12 @@ RelayPlan optimistic_repairs(const Net& net, RelayPlan plan,
       for (Slot s = last_tx + 1; s <= last_tx + kMaxProbe; ++s) {
         bool ok = true;
         for (NodeId w : net.neighbors(helper)) {
-          if (is_unreached[w] &&
-              (neighbor_tx_at(w, s) || claimed_at(w, s))) {
+          if (scratch.is_unreached[w] &&
+              (scratch.heard_at(w, s) || scratch.claimed_at(w, s))) {
             ok = false;
             break;
           }
-          if (!is_unreached[w] && outcome.first_rx[w] == s) {
+          if (!scratch.is_unreached[w] && outcome.first_rx[w] == s) {
             ok = false;
             break;
           }
@@ -152,9 +239,9 @@ RelayPlan optimistic_repairs(const Net& net, RelayPlan plan,
       offsets.push_back(chosen - helper_rx);
       added += 1;
       for (NodeId w : net.neighbors(helper)) {
-        if (is_unreached[w]) {
-          covered[w] = 1;
-          claimed[w].push_back(chosen);
+        if (scratch.is_unreached[w]) {
+          scratch.covered[w] = 1;
+          scratch.claimed[w].push_back(chosen);
           // A stranded relay whose whole neighborhood is already reached
           // forwards nothing anyone needs; getting it the message late and
           // then letting it transmit would only re-collide downstream.
@@ -172,17 +259,19 @@ RelayPlan optimistic_repairs(const Net& net, RelayPlan plan,
     if (added == 0) break;  // interior void; quiet-slot phase handles it
     report.rounds += 1;
 
-    const std::size_t now_unreached =
-        sim.run(net, plan, options).unreached().size();
-    if (now_unreached < best_unreached) {
+    if (stall == 0) best_outcome = std::move(outcome);
+    outcome = sim.run(net, plan, options);
+    scratch.load(outcome);
+    if (scratch.unreached.size() < best_unreached) {
       best = plan;
-      best_unreached = now_unreached;
+      best_unreached = scratch.unreached.size();
       stall = 0;
     } else if (++stall >= kPatience) {
       break;
     }
   }
-  return best;
+  if (stall == 0) return {std::move(plan), std::move(outcome)};
+  return {std::move(best), std::move(best_outcome)};
 }
 
 template <typename Net, typename SimT>
@@ -198,9 +287,13 @@ RelayPlan resolve_full_reachability(const Net& net, RelayPlan plan,
   ResolveReport local;
   const std::size_t n = net.num_nodes();
   WSN_EXPECTS(plan.num_nodes() == n);
+  ResolveScratch scratch;
 
   const std::size_t planned_before = plan.planned_tx();
-  plan = optimistic_repairs(net, std::move(plan), options, local, sim);
+  ProbedPlan probed =
+      optimistic_repairs(net, std::move(plan), options, local, sim, scratch);
+  plan = std::move(probed.plan);
+  BroadcastOutcome outcome = std::move(probed.outcome);
   // Net extra transmissions; the optimistic phase also *prunes* stranded
   // relays, so the difference can be negative -- clamp rather than let the
   // unsigned arithmetic wrap.
@@ -210,13 +303,21 @@ RelayPlan resolve_full_reachability(const Net& net, RelayPlan plan,
   }
 
   // Each round strictly grows the reached set by the whole boundary of the
-  // unreached region, so n rounds is a safe upper bound.
-  for (std::size_t round = 0; round < n; ++round) {
-    const BroadcastOutcome outcome = sim.run(net, plan, options);
-    const std::vector<NodeId> unreached = outcome.unreached();
-    if (unreached.empty()) {
-      if (report != nullptr) *report = local;
-      return plan;
+  // unreached region, so n rounds is a safe upper bound.  `outcome` always
+  // describes `plan`: each round's repairs are followed by one probe.
+  std::vector<NodeId> helpers;
+  std::vector<std::vector<NodeId>> slots;  // slots[s] = helpers at t_end+1+s
+  for (std::size_t round = 0;; ++round) {
+    scratch.load(outcome);
+    const std::vector<NodeId>& unreached = scratch.unreached;
+    if (unreached.empty()) break;
+    if (round == n) {
+      // Round budget exhausted without convergence.  Each round strictly
+      // grows the reached set, so this cannot happen on any topology the
+      // simulator accepts -- but degrade gracefully instead of aborting:
+      // report what is left unrepaired and return the plan built so far.
+      local.unrepaired = unreached.size();
+      break;
     }
     local.rounds += 1;
 
@@ -225,29 +326,16 @@ RelayPlan resolve_full_reachability(const Net& net, RelayPlan plan,
       t_end = std::max(t_end, rec.slot);
     }
 
-    std::vector<char> is_unreached(n, 0);
-    for (NodeId u : unreached) is_unreached[u] = 1;
-
     // Pick helpers: walk the unreached boundary; one helper transmission
     // covers all of its unreached neighbors at once.
-    std::vector<NodeId> helpers;
-    std::vector<char> covered(n, 0);
+    helpers.clear();
     for (NodeId u : unreached) {
-      if (covered[u]) continue;
-      NodeId helper = kInvalidNode;
-      Slot helper_rx = kNeverSlot;
-      for (NodeId h : net.neighbors(u)) {
-        if (outcome.first_rx[h] == kNeverSlot) continue;  // no message
-        if (outcome.first_rx[h] < helper_rx ||
-            (outcome.first_rx[h] == helper_rx && h < helper)) {
-          helper = h;
-          helper_rx = outcome.first_rx[h];
-        }
-      }
+      if (scratch.covered[u]) continue;
+      const NodeId helper = pick_helper(net, outcome, u);
       if (helper == kInvalidNode) continue;  // deeper in the void; next round
       helpers.push_back(helper);
       for (NodeId covered_now : net.neighbors(helper)) {
-        if (is_unreached[covered_now]) covered[covered_now] = 1;
+        if (scratch.is_unreached[covered_now]) scratch.covered[covered_now] = 1;
       }
     }
 
@@ -255,13 +343,12 @@ RelayPlan resolve_full_reachability(const Net& net, RelayPlan plan,
       // Nothing adjacent to the reached region: the rest is disconnected.
       local.unreachable = unreached.size();
       local.unrepaired = unreached.size();
-      if (report != nullptr) *report = local;
-      return plan;
+      break;
     }
 
     // Pack repairs into fresh slots after the old timeline; helpers within
     // 2 hops of each other are serialized so no repair can collide.
-    std::vector<std::vector<NodeId>> slots;  // slots[s] = helpers at t_end+1+s
+    slots.clear();
     for (NodeId h : helpers) {
       std::size_t s = 0;
       for (;; ++s) {
@@ -286,13 +373,8 @@ RelayPlan resolve_full_reachability(const Net& net, RelayPlan plan,
       offsets.push_back(offset);
       local.repairs += 1;
     }
+    outcome = sim.run(net, plan, options);
   }
-
-  // Round budget exhausted without convergence.  Each round strictly grows
-  // the reached set, so this cannot happen on any topology the simulator
-  // accepts -- but degrade gracefully instead of aborting: report what is
-  // left unrepaired and return the best plan built so far.
-  local.unrepaired = sim.run(net, plan, options).unreached().size();
   if (report != nullptr) *report = local;
   return plan;
 }

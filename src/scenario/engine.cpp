@@ -777,6 +777,7 @@ RunSummary ScenarioEngine::run(const std::string& results_path) {
   // byte-identity story.
   const auto submit = [&](std::size_t index, ExecResult result) -> bool {
     std::function<void(std::size_t)> notify;
+    std::size_t emitted_before = 0;
     std::size_t notify_emitted = 0;
     std::size_t notify_errors = 0;
     bool resolved_here = true;
@@ -799,6 +800,7 @@ RunSummary ScenarioEngine::run(const std::string& results_path) {
         resolved_here = false;
       } else {
         impl.resolved[index] = 1;
+        emitted_before = impl.emitted;
         impl.pending.emplace(index, std::move(result));
         while (true) {
           const auto it = impl.pending.find(impl.next_to_emit);
@@ -846,11 +848,13 @@ RunSummary ScenarioEngine::run(const std::string& results_path) {
     // request_cancel() (the kill/resume tests do exactly that).
     if (config_.on_emit) config_.on_emit(notify_emitted);
     // Heartbeat on the emission count crossing a multiple of the cadence.
-    // Live pool telemetry is snapshotted here, outside the lock -- it is
-    // advisory and never reaches the results stream.
+    // One drain can emit several parked records and jump past a multiple,
+    // so compare the multiples before and after rather than testing the
+    // final count.  Live pool telemetry is snapshotted here, outside the
+    // lock -- it is advisory and never reaches the results stream.
     if (config_.heartbeat_every > 0 && config_.on_heartbeat &&
-        notify_emitted > 0 &&
-        notify_emitted % config_.heartbeat_every == 0) {
+        notify_emitted / config_.heartbeat_every >
+            emitted_before / config_.heartbeat_every) {
       HeartbeatRecord beat;
       beat.emitted = notify_emitted;
       beat.jobs_total = impl.jobs_total;

@@ -59,7 +59,8 @@ class TelemetrySampler;
 
 // Progress heartbeats (HeartbeatRecord, heartbeat_json) live in
 // obs/heartbeat.h, shared with the service daemon; `on_heartbeat` below
-// fires every `heartbeat_every` emitted records.  Cadence is COUNT-based
+// fires whenever the emitted-record count crosses a multiple of
+// `heartbeat_every` (once per crossing drain).  Cadence is COUNT-based
 // (a pure function of emission progress) but the payload carries live
 // pool telemetry -- queue depth, busy workers -- which is exactly why
 // heartbeats go through a callback and never into the results stream:
@@ -91,7 +92,8 @@ struct EngineConfig {
   /// failed check names -- to its record.  Observability stays opt-in:
   /// without this flag jobs run unobserved exactly as before.
   bool audit = false;
-  /// Fire `on_heartbeat` every N emitted records (0 = off).
+  /// Fire `on_heartbeat` as the emitted count crosses each multiple of N
+  /// (0 = off); a drain that jumps past several multiples fires once.
   std::size_t heartbeat_every = 0;
   /// Heartbeat hook; runs on a worker thread, outside the collector lock.
   std::function<void(const HeartbeatRecord&)> on_heartbeat;

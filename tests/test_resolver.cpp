@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <string>
+
 #include "protocol/gossip.h"
 #include "protocol/mesh2d3_broadcast.h"
+#include "protocol/registry.h"
+#include "protocol/resolver_core.h"
 #include "sim/simulator.h"
+#include "topology/factory.h"
 #include "topology/graph_algos.h"
 #include "topology/mesh2d3.h"
 #include "topology/mesh2d4.h"
@@ -165,6 +172,100 @@ TEST(Resolver, FuzzedPlansResolveOnRandomGraphs) {
         resolve_full_reachability(topo, gossip.plan(topo, 0));
     const auto out = simulate_broadcast(topo, resolved);
     ASSERT_TRUE(out.stats.fully_reached()) << "seed " << seed;
+  }
+}
+
+// FNV-1a 64 over the little-endian bytes of `value`, continuing `hash`.
+std::uint64_t fnv1a_u64(std::uint64_t hash, std::uint64_t value) {
+  for (int byte = 0; byte < 8; ++byte) {
+    hash ^= (value >> (8 * byte)) & 0xffu;
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+// The resolver's output contract, pinned: one digest over every resolved
+// paper plan (4 families x 512 sources) -- each node's offset count and
+// offsets, then the report's repairs, rounds, unreachable and unrepaired.
+// The digest was computed before the resolver learned to reuse probe
+// outcomes and scratch, so any change to a resolved plan or its report
+// fails here, not only in the perf benchmark's record digest.
+TEST(Resolver, GoldenResolvedPaperPlans) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (const std::string& family : regular_families()) {
+    const auto topo = make_paper_topology(family);
+    for (NodeId src = 0; src < topo->num_nodes(); ++src) {
+      ResolveReport report;
+      const RelayPlan plan = paper_plan(*topo, src, {}, &report);
+      for (const auto& offsets : plan.tx_offsets) {
+        hash = fnv1a_u64(hash, offsets.size());
+        for (Slot offset : offsets) hash = fnv1a_u64(hash, offset);
+      }
+      hash = fnv1a_u64(hash, report.repairs);
+      hash = fnv1a_u64(hash, report.rounds);
+      hash = fnv1a_u64(hash, report.unreachable);
+      hash = fnv1a_u64(hash, report.unrepaired);
+    }
+  }
+  EXPECT_EQ(hash, 0x551bc22ac58f9472ull) << std::hex << hash;
+}
+
+// A Simulator that counts its probes and flags any probe whose plan is the
+// one it simulated just before (a wasted re-simulation).
+class CountingSimulator {
+ public:
+  explicit CountingSimulator(std::size_t num_nodes) : sim_(num_nodes) {}
+
+  BroadcastOutcome run(const Topology& topo, const RelayPlan& plan,
+                       const SimOptions& options) {
+    ++probes;
+    if (probes > 1 && plan.source == last_.source &&
+        plan.tx_offsets == last_.tx_offsets) {
+      ++repeats;
+    }
+    last_ = plan;
+    return sim_.run(topo, plan, options);
+  }
+
+  std::size_t probes = 0;
+  std::size_t repeats = 0;
+
+ private:
+  Simulator sim_;
+  RelayPlan last_;
+};
+
+TEST(Resolver, CompletePaperPlanCostsOneProbe) {
+  const auto topo = make_paper_topology("2D-4");
+  const NodeId src = graph_center(*topo);
+  const RelayPlan base = make_paper_protocol("2D-4")->plan(*topo, src);
+  CountingSimulator sim(topo->num_nodes());
+  ResolveReport report;
+  const RelayPlan resolved = resolver_core::resolve_full_reachability(
+      *topo, base, {}, &report, sim);
+  EXPECT_EQ(sim.probes, 1u);
+  EXPECT_EQ(report.rounds, 0u);
+  EXPECT_EQ(resolved.tx_offsets, base.tx_offsets);
+}
+
+// Probe simulations are the resolver's whole cost; each distinct plan is
+// simulated once.  The per-family totals over every source are pinned so
+// a change that adds probes (or drops some and with them a decision)
+// shows here, independent of the machine's speed.
+TEST(Resolver, ProbeCountsOverAllPaperSources) {
+  const std::map<std::string, std::size_t> pinned = {
+      {"2D-3", 1268}, {"2D-4", 512}, {"2D-8", 1123}, {"3D-6", 1089}};
+  for (const std::string& family : regular_families()) {
+    SCOPED_TRACE(family);
+    const auto topo = make_paper_topology(family);
+    const auto protocol = make_paper_protocol(family);
+    CountingSimulator sim(topo->num_nodes());
+    for (NodeId src = 0; src < topo->num_nodes(); ++src) {
+      (void)resolver_core::resolve_full_reachability(
+          *topo, protocol->plan(*topo, src), {}, nullptr, sim);
+    }
+    EXPECT_EQ(sim.repeats, 0u);
+    EXPECT_EQ(sim.probes, pinned.at(family));
   }
 }
 

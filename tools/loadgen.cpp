@@ -221,7 +221,7 @@ int main(int argc, char** argv) {
                  "service address (tcp:<host>:<port> or unix:<path>)", "");
   cli.add_option("connections", "concurrent client connections", "4");
   cli.add_option("requests", "requests per plan phase", "2000");
-  cli.add_option("sim-requests", "requests in the simulate phase", "200");
+  cli.add_option("sim-requests", "requests in the simulate phase", "2000");
   cli.add_option("rate",
                  "open-loop arrival rate, requests/second (0 = closed-loop)",
                  "0");
