@@ -1,28 +1,15 @@
 #include "analysis/bench_diff.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <map>
 #include <sstream>
 #include <utility>
+
+#include "analysis/bench_doc.h"
 
 namespace wsn {
 
 namespace {
-
-/// One result row: its key and every numeric member, in document order.
-struct EntryRow {
-  std::string key;
-  std::vector<std::pair<std::string, double>> metrics;
-};
-
-bool is_bench_schema(const JsonValue& doc, std::string& schema) {
-  schema = doc.string_or("schema", "");
-  return schema == "meshbcast.bench" || schema == "meshbcast.bench.scenario";
-}
 
 bool ends_with(std::string_view text, std::string_view suffix) {
   return text.size() >= suffix.size() &&
@@ -43,54 +30,6 @@ int metric_direction(std::string_view name) {
   return 0;
 }
 
-/// Same keying as the bench gate: `name`, else `workers=N`, repeats
-/// suffixed `#2`, `#3`, ... so both sides pair up positionally per key.
-std::vector<EntryRow> collect_rows(const JsonValue& doc) {
-  std::vector<EntryRow> out;
-  std::map<std::string, std::size_t> key_counts;
-  const JsonValue* results = doc.find("results");
-  if (results == nullptr || !results->is_array()) return out;
-  for (const JsonValue& row : results->as_array()) {
-    if (!row.is_object()) continue;
-    EntryRow entry;
-    if (const JsonValue* name = row.find("name");
-        name != nullptr && name->is_string()) {
-      entry.key = name->as_string();
-    } else if (const JsonValue* workers = row.find("workers")) {
-      std::uint64_t w = 0;
-      if (workers->to_u64(w)) entry.key = "workers=" + std::to_string(w);
-    }
-    if (entry.key.empty()) continue;
-    const std::size_t occurrence = ++key_counts[entry.key];
-    if (occurrence > 1) {
-      entry.key.push_back('#');
-      entry.key.append(std::to_string(occurrence));
-    }
-    for (const auto& [member, value] : row.as_object()) {
-      if (value.is_number()) {
-        entry.metrics.emplace_back(member, value.as_number());
-      }
-    }
-    out.push_back(std::move(entry));
-  }
-  return out;
-}
-
-const EntryRow* find_row(const std::vector<EntryRow>& rows,
-                         const std::string& key) {
-  for (const EntryRow& r : rows) {
-    if (r.key == key) return &r;
-  }
-  return nullptr;
-}
-
-const double* find_metric(const EntryRow& row, const std::string& name) {
-  for (const auto& [key, value] : row.metrics) {
-    if (key == name) return &value;
-  }
-  return nullptr;
-}
-
 std::string verdict_for(double a, double b, int direction,
                         double tolerance) {
   if (a == b) return "equal";
@@ -109,13 +48,13 @@ std::string verdict_for(double a, double b, int direction,
 DiffReport diff_bench_docs(const JsonValue& a, const JsonValue& b,
                            const DiffOptions& options) {
   DiffReport report;
-  std::string schema_a;
-  std::string schema_b;
-  if (!is_bench_schema(a, schema_a)) {
+  const std::string schema_a = a.string_or("schema", "");
+  const std::string schema_b = b.string_or("schema", "");
+  if (!is_bench_schema(schema_a)) {
     report.notes.push_back("a: unknown schema \"" + schema_a + "\"; skipped");
     return report;
   }
-  if (!is_bench_schema(b, schema_b)) {
+  if (!is_bench_schema(schema_b)) {
     report.notes.push_back("b: unknown schema \"" + schema_b + "\"; skipped");
     return report;
   }
@@ -127,11 +66,11 @@ DiffReport diff_bench_docs(const JsonValue& a, const JsonValue& b,
   report.bench_a = a.string_or("bench", "");
   report.bench_b = b.string_or("bench", "");
 
-  const std::vector<EntryRow> rows_a = collect_rows(a);
-  const std::vector<EntryRow> rows_b = collect_rows(b);
+  const std::vector<BenchRow> rows_a = read_bench_rows(a);
+  const std::vector<BenchRow> rows_b = read_bench_rows(b);
 
-  for (const EntryRow& row_a : rows_a) {
-    const EntryRow* row_b = find_row(rows_b, row_a.key);
+  for (const BenchRow& row_a : rows_a) {
+    const BenchRow* row_b = find_bench_row(rows_b, row_a.key);
     if (row_b == nullptr) {
       DiffMetric m;
       m.entry = row_a.key;
@@ -146,7 +85,7 @@ DiffReport diff_bench_docs(const JsonValue& a, const JsonValue& b,
       m.metric = name;
       m.a = value_a;
       m.direction = metric_direction(name);
-      const double* value_b = find_metric(*row_b, name);
+      const double* value_b = row_b->find(name);
       if (value_b == nullptr) {
         m.verdict = "only-a";
       } else {
@@ -158,7 +97,7 @@ DiffReport diff_bench_docs(const JsonValue& a, const JsonValue& b,
       report.metrics.push_back(std::move(m));
     }
     for (const auto& [name, value_b] : row_b->metrics) {
-      if (find_metric(row_a, name) != nullptr) continue;
+      if (row_a.find(name) != nullptr) continue;
       DiffMetric m;
       m.entry = row_a.key;
       m.metric = name;
@@ -168,8 +107,8 @@ DiffReport diff_bench_docs(const JsonValue& a, const JsonValue& b,
       report.metrics.push_back(std::move(m));
     }
   }
-  for (const EntryRow& row_b : rows_b) {
-    if (find_row(rows_a, row_b.key) != nullptr) continue;
+  for (const BenchRow& row_b : rows_b) {
+    if (find_bench_row(rows_a, row_b.key) != nullptr) continue;
     DiffMetric m;
     m.entry = row_b.key;
     m.metric = "(entry)";
@@ -183,29 +122,10 @@ DiffReport diff_bench_files(const std::string& path_a,
                             const std::string& path_b,
                             const DiffOptions& options) {
   DiffReport report;
-  const auto read_doc = [&report](const std::string& path, JsonValue& doc,
-                                  std::string_view role) {
-    if (!std::filesystem::exists(path)) {
-      report.notes.push_back(std::string(role) + " " + path +
-                             " does not exist");
-      return false;
-    }
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    std::string error;
-    if (!parse_json(buffer.str(), doc, &error)) {
-      report.notes.push_back(std::string(role) + " " + path +
-                             " unparseable: " + error);
-      return false;
-    }
-    return true;
-  };
-
   JsonValue a;
   JsonValue b;
-  const bool ok_a = read_doc(path_a, a, "a");
-  const bool ok_b = read_doc(path_b, b, "b");
+  const bool ok_a = read_bench_file(path_a, "a", a, report.notes);
+  const bool ok_b = read_bench_file(path_b, "b", b, report.notes);
   if (!ok_a || !ok_b) return report;
   DiffReport diffed = diff_bench_docs(a, b, options);
   diffed.notes.insert(diffed.notes.begin(), report.notes.begin(),

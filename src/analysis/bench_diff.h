@@ -7,8 +7,8 @@
 #include "common/json.h"
 
 /// Side-by-side bench comparison: every numeric metric of two
-/// `meshbcast.bench` / `meshbcast.bench.scenario` documents, with a
-/// tolerance-aware, direction-aware verdict per metric.
+/// `meshbcast.bench` documents (any schema analysis/bench_doc.h reads),
+/// with a tolerance-aware, direction-aware verdict per metric.
 ///
 /// Where the bench *gate* (analysis/bench_gate.h) asks one question --
 /// "did a gated throughput metric collapse?" -- the diff answers the

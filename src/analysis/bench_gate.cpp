@@ -1,23 +1,14 @@
 #include "analysis/bench_gate.h"
 
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <map>
 #include <sstream>
 #include <utility>
+
+#include "analysis/bench_doc.h"
 
 namespace wsn {
 
 namespace {
-
-/// One parsed result row: a key and its numeric fields, split into gated
-/// (higher-is-better throughput) and advisory (latency) metrics.
-struct EntryMetrics {
-  std::string key;
-  std::vector<std::pair<std::string, double>> gated;
-  std::vector<std::pair<std::string, double>> advisory;
-};
 
 constexpr std::string_view kGatedMetrics[] = {
     "runs_per_sec", "cold_jobs_per_sec", "warm_jobs_per_sec",
@@ -41,86 +32,20 @@ constexpr std::string_view kAdvisoryMetrics[] = {
     "warm_jobs_per_sec_max",
 };
 
-bool is_bench_schema(const JsonValue& doc, std::string& schema) {
-  schema = doc.string_or("schema", "");
-  return schema == "meshbcast.bench" ||
-         schema == "meshbcast.bench.scenario" ||
-         schema == "meshbcast.bench.service";
-}
-
-std::vector<EntryMetrics> collect_entries(const JsonValue& doc) {
-  std::vector<EntryMetrics> out;
-  std::map<std::string, std::size_t> key_counts;
-  const JsonValue* results = doc.find("results");
-  if (results == nullptr || !results->is_array()) return out;
-  for (const JsonValue& row : results->as_array()) {
-    if (!row.is_object()) continue;
-    EntryMetrics entry;
-    if (const JsonValue* name = row.find("name");
-        name != nullptr && name->is_string()) {
-      entry.key = name->as_string();
-    } else if (const JsonValue* workers = row.find("workers")) {
-      std::uint64_t w = 0;
-      if (workers->to_u64(w)) {
-        entry.key = "workers=" + std::to_string(w);
-      }
-    }
-    if (entry.key.empty()) continue;
-    // A bench may legally repeat a key (scenario_throughput re-measures
-    // workers=1 after warming); suffix repeats so baseline and current
-    // rows pair up positionally per key.
-    const std::size_t occurrence = ++key_counts[entry.key];
-    if (occurrence > 1) {
-      entry.key.push_back('#');
-      entry.key.append(std::to_string(occurrence));
-    }
-    for (const std::string_view metric : kGatedMetrics) {
-      if (const JsonValue* v = row.find(metric);
-          v != nullptr && v->is_number()) {
-        entry.gated.emplace_back(std::string(metric), v->as_number());
-      }
-    }
-    for (const std::string_view metric : kAdvisoryMetrics) {
-      if (const JsonValue* v = row.find(metric);
-          v != nullptr && v->is_number()) {
-        entry.advisory.emplace_back(std::string(metric), v->as_number());
-      }
-    }
-    out.push_back(std::move(entry));
-  }
-  return out;
-}
-
-const EntryMetrics* find_entry(const std::vector<EntryMetrics>& entries,
-                               const std::string& key) {
-  for (const EntryMetrics& e : entries) {
-    if (e.key == key) return &e;
-  }
-  return nullptr;
-}
-
-double metric_or(const std::vector<std::pair<std::string, double>>& metrics,
-                 const std::string& name, double fallback) {
-  for (const auto& [key, value] : metrics) {
-    if (key == name) return value;
-  }
-  return fallback;
-}
-
 }  // namespace
 
 GateReport compare_bench_docs(const JsonValue& baseline,
                               const JsonValue& current,
                               const GateOptions& options) {
   GateReport report;
-  std::string baseline_schema;
-  std::string current_schema;
-  if (!is_bench_schema(baseline, baseline_schema)) {
+  const std::string baseline_schema = baseline.string_or("schema", "");
+  const std::string current_schema = current.string_or("schema", "");
+  if (!is_bench_schema(baseline_schema)) {
     report.notes.push_back("baseline: unknown schema \"" + baseline_schema +
                            "\"; skipped");
     return report;
   }
-  if (!is_bench_schema(current, current_schema)) {
+  if (!is_bench_schema(current_schema)) {
     report.notes.push_back("current: unknown schema \"" + current_schema +
                            "\"; skipped");
     return report;
@@ -132,11 +57,11 @@ GateReport compare_bench_docs(const JsonValue& baseline,
   }
   report.bench = current.string_or("bench", "");
 
-  const std::vector<EntryMetrics> base_entries = collect_entries(baseline);
-  const std::vector<EntryMetrics> cur_entries = collect_entries(current);
+  const std::vector<BenchRow> base_rows = read_bench_rows(baseline);
+  const std::vector<BenchRow> cur_rows = read_bench_rows(current);
 
-  for (const EntryMetrics& base : base_entries) {
-    const EntryMetrics* cur = find_entry(cur_entries, base.key);
+  for (const BenchRow& base : base_rows) {
+    const BenchRow* cur = find_bench_row(cur_rows, base.key);
     if (cur == nullptr) {
       if (options.strict) {
         GateMetric m;
@@ -151,31 +76,28 @@ GateReport compare_bench_docs(const JsonValue& baseline,
       }
       continue;
     }
-    for (const auto& [metric, base_value] : base.gated) {
+    const auto compare = [&](std::string_view metric, bool gated) {
+      const double* base_value = base.find(metric);
+      if (base_value == nullptr) return;
+      const double* cur_value = cur->find(metric);
       GateMetric m;
       m.entry = base.key;
-      m.metric = metric;
-      m.baseline = base_value;
-      m.current = metric_or(cur->gated, metric, 0.0);
-      m.ratio = base_value > 0.0 ? m.current / base_value : 0.0;
-      m.gated = true;
-      m.regression =
-          base_value > 0.0 && m.current < base_value * (1.0 - options.tolerance);
+      m.metric = std::string(metric);
+      m.baseline = *base_value;
+      m.current = cur_value != nullptr ? *cur_value : 0.0;
+      m.ratio = m.baseline > 0.0 ? m.current / m.baseline : 0.0;
+      m.gated = gated;
+      m.regression = gated && m.baseline > 0.0 &&
+                     m.current < m.baseline * (1.0 - options.tolerance);
       report.metrics.push_back(std::move(m));
-    }
-    for (const auto& [metric, base_value] : base.advisory) {
-      GateMetric m;
-      m.entry = base.key;
-      m.metric = metric;
-      m.baseline = base_value;
-      m.current = metric_or(cur->advisory, metric, 0.0);
-      m.ratio = base_value > 0.0 ? m.current / base_value : 0.0;
-      m.gated = false;
-      report.metrics.push_back(std::move(m));
+    };
+    for (const std::string_view metric : kGatedMetrics) compare(metric, true);
+    for (const std::string_view metric : kAdvisoryMetrics) {
+      compare(metric, false);
     }
   }
-  for (const EntryMetrics& cur : cur_entries) {
-    if (find_entry(base_entries, cur.key) == nullptr) {
+  for (const BenchRow& cur : cur_rows) {
+    if (find_bench_row(base_rows, cur.key) == nullptr) {
       report.notes.push_back("new entry \"" + cur.key +
                              "\" (no baseline; not gated)");
     }
@@ -187,32 +109,13 @@ GateReport gate_bench_files(const std::string& baseline_path,
                             const std::string& current_path,
                             const GateOptions& options) {
   GateReport report;
-  const auto read_doc = [&report](const std::string& path, JsonValue& doc,
-                                  std::string_view role) {
-    if (!std::filesystem::exists(path)) {
-      report.notes.push_back(std::string(role) + " " + path +
-                             " does not exist");
-      return false;
-    }
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    std::string error;
-    if (!parse_json(buffer.str(), doc, &error)) {
-      report.notes.push_back(std::string(role) + " " + path +
-                             " unparseable: " + error);
-      return false;
-    }
-    return true;
-  };
-
   JsonValue baseline;
   JsonValue current;
-  if (!read_doc(baseline_path, baseline, "baseline")) {
+  if (!read_bench_file(baseline_path, "baseline", baseline, report.notes)) {
     // No baseline yet: the current run seeds the trajectory.
     return report;
   }
-  if (!read_doc(current_path, current, "current")) {
+  if (!read_bench_file(current_path, "current", current, report.notes)) {
     if (options.strict) {
       GateMetric m;
       m.entry = current_path;

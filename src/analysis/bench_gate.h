@@ -6,8 +6,8 @@
 
 #include "common/json.h"
 
-/// Bench regression gate: compares a current `meshbcast.bench` /
-/// `meshbcast.bench.scenario` document against a committed baseline and
+/// Bench regression gate: compares a current `meshbcast.bench` document
+/// (any schema analysis/bench_doc.h reads) against a committed baseline and
 /// reports per-metric throughput ratios.  The gate is deliberately
 /// one-sided and generous -- CI runners are noisy shared machines, so
 /// only a large drop in a higher-is-better metric (runs/sec, jobs/sec,
@@ -15,7 +15,7 @@
 /// report for human eyes but never gate (they double-count the same
 /// signal and their tails wobble hardest on loaded runners).
 ///
-/// Comparison is by entry key: `name` for meshbcast.bench results,
+/// Comparison is by entry key (analysis/bench_doc.h): `name`, or
 /// `workers=N` for the scenario bench.  A baseline entry missing from the
 /// current run is a note (or a regression under `strict`); a new entry in
 /// the current run is always just a note -- adding benchmarks must never

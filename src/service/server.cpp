@@ -585,11 +585,6 @@ std::string MeshbcastService::respond_plan(const RpcRequest& req, bool& ok,
   std::string origin_text;
   std::size_t planned_tx = 0, repairs = 0, unrepaired = 0;
   if (config_.store != nullptr) {
-    // Single-flight per fingerprint: the store itself lets concurrent
-    // compiles race (harmless in a batch run, wasteful in a service).
-    // Holding the keyed lock across fetch_or_compile means one compile
-    // per key; the blocked requesters then hit the memory tier.
-    const KeyedMutex::Guard flight = flights_.lock(fingerprint.hex());
     PlanStore::Origin origin = PlanStore::Origin::kCompiled;
     const std::shared_ptr<const StoredPlan> stored =
         config_.store->fetch_or_compile(topo, source, plan.protocol, options,

@@ -18,7 +18,6 @@
 #include "obs/metrics.h"
 #include "service/journal.h"
 #include "service/rpc.h"
-#include "service/single_flight.h"
 #include "service/slo.h"
 #include "store/fingerprint.h"
 #include "store/plan_store.h"
@@ -55,9 +54,9 @@
 /// signal, so a million-job stream ends promptly in a `cancelled` done
 /// frame rather than stalling the drain.
 ///
-/// Concurrent cold `plan` requests for one fingerprint are serialized
-/// through a KeyedMutex (service/single_flight.h): the store compiles
-/// exactly once, the losers hit the memory tier.
+/// Concurrent cold `plan` requests for one fingerprint compile once: the
+/// plan store single-flights its compiles (store/single_flight.h), and
+/// the losers are served from its memory tier.
 ///
 /// Request-scoped observability: every successfully parsed frame gets a
 /// unique server request id (`"req"` echoed in responses and errors).
@@ -249,7 +248,6 @@ class MeshbcastService {
   std::vector<std::thread> workers_;
   std::thread accept_thread_;
   std::unique_ptr<HeartbeatEmitter> heartbeat_;
-  KeyedMutex flights_;
 
   std::mutex connections_mutex_;
   std::vector<std::shared_ptr<Connection>> connections_;

@@ -1,6 +1,6 @@
 #pragma once
 
-#include <vector>
+#include <cstddef>
 
 #include "sim/plan.h"
 #include "sim/simulator.h"
@@ -12,47 +12,10 @@
 /// The paper evaluates a single broadcast; a deployed WSN broadcasts
 /// continuously, and the interesting figure of merit is the *pipeline
 /// period*: the smallest injection interval at which consecutive
-/// wavefronts never interfere (every packet still reaches everyone).  The
-/// relay plans' spatial structure determines it -- wavefronts of packet p
-/// and p+1 chase each other `interval` slots apart, and collide where a
-/// relay serves both at once.
-///
-/// Medium semantics extend the single-packet rules packet-agnostically:
-///   * a node transmits at most one packet per slot; when two packets'
-///     schedules land on the same slot, the older packet goes first and
-///     the younger is deferred one slot (repeatedly if needed);
-///   * a non-transmitting node with exactly one transmitting neighbor
-///     decodes that neighbor's packet; with two or more it decodes
-///     nothing, whatever the packets involved (co-channel collision);
-///   * each packet's relay offsets apply relative to that packet's own
-///     first reception at the node.
+/// wavefronts never interfere (every packet still reaches everyone).
+/// Streams run through Simulator's one slot loop; the stream rules,
+/// PipelineOptions and PipelineOutcome are in sim/simulator.h.
 namespace wsn {
-
-struct PipelineOptions {
-  /// Number of packets the source injects.
-  std::size_t packets = 4;
-  /// Slots between consecutive injections (≥ 1).
-  Slot interval = 8;
-  /// Medium / energy configuration (battery not supported here; fault
-  /// injection via `sim.faults` is honored, with losses attributed to the
-  /// affected packet's stats).
-  SimOptions sim{};
-};
-
-struct PipelineOutcome {
-  /// Per-packet stats; delay is measured from the packet's injection slot.
-  std::vector<BroadcastStats> per_packet;
-  /// Totals across the run (tx/rx/collisions/energy summed; delay = the
-  /// slot of the last first-reception of any packet).
-  BroadcastStats aggregate;
-
-  [[nodiscard]] bool all_fully_reached() const {
-    for (const BroadcastStats& s : per_packet) {
-      if (!s.fully_reached()) return false;
-    }
-    return !per_packet.empty();
-  }
-};
 
 /// Runs the pipelined broadcast to completion.  Deterministic.
 [[nodiscard]] PipelineOutcome simulate_pipeline(const Topology& topo,

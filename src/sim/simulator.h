@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "common/types.h"
@@ -33,6 +34,25 @@
 /// The run ends when no transmission remains scheduled, or at
 /// `max_slots` (a runaway guard -- plans are finite so this only triggers
 /// on misuse).
+///
+/// Pipelined streams run through the same slot loop: the source injects
+/// `packets` packets, one every `interval` slots, all forwarded under the
+/// same relay plan, and a single broadcast is the one-packet stream.  The
+/// medium rules above apply packet-agnostically, plus:
+///   * a node transmits at most one packet per slot; when two packets'
+///     schedules land on the same slot, the older packet goes first and
+///     the younger is deferred one slot (repeatedly if needed, and only
+///     once if it is already pending there);
+///   * a lone transmitting neighbor delivers its own packet; two or more
+///     collide whatever the packets involved (co-channel collision);
+///   * each packet's relay offsets apply relative to that packet's own
+///     first reception at the node.
+///
+/// The wavefronts of packets p and p+1 chase each other `interval` slots
+/// apart and collide where a relay serves both at once, so the relay
+/// plan's spatial structure sets the *pipeline period*: the smallest
+/// interval at which every packet still reaches every node
+/// (sim/pipeline.h).
 namespace wsn {
 
 struct SimOptions {
@@ -107,17 +127,46 @@ struct BroadcastOutcome {
   [[nodiscard]] Slot first_tx(NodeId node) const noexcept;
 };
 
+struct PipelineOptions {
+  /// Number of packets the source injects.
+  std::size_t packets = 4;
+  /// Slots between consecutive injections (≥ 1).
+  Slot interval = 8;
+  /// Medium / energy configuration, as for a single broadcast.
+  SimOptions sim{};
+};
+
+struct PipelineOutcome {
+  /// Per-packet stats; delay is measured from the packet's injection
+  /// slot, and a crash or fading loss is charged to the packet it
+  /// destroyed.  Collisions are not attributable to one packet and stay
+  /// 0 here.
+  std::vector<BroadcastStats> per_packet;
+  /// Totals across the run: tx/rx/duplicates/losses/energy summed over
+  /// the packets, every collision counted once (with its reception energy
+  /// under `charge_collisions`), delay = the slot of the last
+  /// first-reception of any packet, reached = the last packet's reach.
+  BroadcastStats aggregate;
+
+  [[nodiscard]] bool all_fully_reached() const {
+    for (const BroadcastStats& s : per_packet) {
+      if (!s.fully_reached()) return false;
+    }
+    return !per_packet.empty();
+  }
+};
+
 /// The simulation engine with its per-run scratch buffers.
 ///
-/// One broadcast needs five O(n) scratch vectors plus the slot schedule;
+/// One broadcast needs four O(n) scratch vectors plus the slot schedule;
 /// allocating them per run is pure churn in the workloads that run
 /// thousands of broadcasts back to back (the resolver's probe
-/// simulations, the all-sources sweeps).  A Simulator owns the scratch
-/// and re-primes it with size-preserving `assign` at the start of every
-/// `run`, so repeated runs over same-sized topologies allocate nothing.
-/// `run` is bitwise-deterministic and identical to `simulate_broadcast`
-/// for any sequence of calls -- scratch reuse is invisible in the
-/// outcome.
+/// simulations, the all-sources sweeps, the pipeline-period scan).  A
+/// Simulator owns the scratch and re-primes it with size-preserving
+/// `assign` at the start of every run, so repeated runs over same-sized
+/// topologies allocate nothing.  Runs are bitwise-deterministic and
+/// identical to `simulate_broadcast` / `simulate_pipeline` for any
+/// sequence of calls -- scratch reuse is invisible in the outcome.
 ///
 /// Not thread-safe: one Simulator belongs to one thread at a time (the
 /// sweeps keep one per worker).
@@ -139,21 +188,36 @@ class Simulator {
                                      const FlatRelayPlan& plan,
                                      const SimOptions& options = {});
 
- private:
-  template <bool kObserved, typename PlanT>
-  BroadcastOutcome run_impl(const Topology& topo, const PlanT& plan,
-                            const SimOptions& options);
+  /// Runs a pipelined stream to completion; semantics of
+  /// simulate_pipeline.  With `packets == 1` its one packet's stats are
+  /// those `run` reports, except that collisions are in the aggregate.
+  [[nodiscard]] PipelineOutcome run_stream(const Topology& topo,
+                                           const RelayPlan& plan,
+                                           const PipelineOptions& options);
 
-  // slot -> transmitters scheduled for it.  An ordered map keeps the main
-  // loop a strict slot sweep even when plans schedule far ahead.
-  std::map<Slot, std::vector<NodeId>> schedule_;
+ private:
+  /// The slot loop.  Fills `out` (its stats take the collisions, its
+  /// first_rx is packet-major: packet p's node v at p * n + v) and charges
+  /// everything else to `per_packet`, which for a single broadcast is
+  /// `out.stats` itself.
+  template <bool kObserved, bool kStream, typename PlanT>
+  void run_impl(const Topology& topo, const PlanT& plan,
+                const SimOptions& options, Slot interval,
+                BroadcastOutcome& out, std::span<BroadcastStats> per_packet);
+
+  // slot -> (node << 32 | packet) transmissions scheduled for it.  An
+  // ordered map keeps the main loop a strict slot sweep even when plans
+  // schedule far ahead.
+  std::map<Slot, std::vector<std::uint64_t>> schedule_;
   // Per-slot scratch, epoch-free via the `touched_` list: hear_count_[u]
   // is nonzero only for u in touched_ and reset before the slot ends.
   std::vector<std::uint32_t> hear_count_;
-  std::vector<NodeId> heard_from_;
+  std::vector<std::uint32_t> heard_tx_;  // index of the last sender heard
   std::vector<char> is_transmitting_;
   std::vector<NodeId> touched_;
-  std::vector<std::size_t> record_of_;  // transmitter -> transmissions index
+  // A stream's per-node results, kept only for the aggregate and the
+  // observer; reused so a period scan allocates them once.
+  BroadcastOutcome stream_;
 };
 
 /// Runs one broadcast to completion.  `plan.num_nodes()` must match the

@@ -68,6 +68,13 @@ std::shared_ptr<const StoredPlan> ShardedPlanCache::get(const PlanKey& key) {
   return value;
 }
 
+std::shared_ptr<const StoredPlan> ShardedPlanCache::peek(const PlanKey& key) {
+  Shard& shard = shard_for(key);
+  const std::unique_lock<std::mutex> lock = acquire_shard(shard);
+  const auto it = shard.index.find(key);
+  return it == shard.index.end() ? nullptr : it->second->value;
+}
+
 void ShardedPlanCache::put(const PlanKey& key,
                            std::shared_ptr<const StoredPlan> value) {
   WSN_EXPECTS(value != nullptr);

@@ -64,6 +64,11 @@ class ShardedPlanCache {
   /// The cached plan, refreshed to most-recently-used; nullptr on miss.
   [[nodiscard]] std::shared_ptr<const StoredPlan> get(const PlanKey& key);
 
+  /// The cached plan without counting a hit or miss or refreshing its
+  /// LRU position; nullptr when absent.  For a caller re-checking a key
+  /// whose lookup it already counted.
+  [[nodiscard]] std::shared_ptr<const StoredPlan> peek(const PlanKey& key);
+
   /// Inserts or refreshes `key`, evicting the shard's LRU tail when over
   /// capacity.
   void put(const PlanKey& key, std::shared_ptr<const StoredPlan> value);

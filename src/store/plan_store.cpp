@@ -47,6 +47,13 @@ std::shared_ptr<const StoredPlan> PlanStore::fetch_or_compile(
     if (origin != nullptr) *origin = Origin::kMemory;
     return hit;
   }
+  // Single-flight: whoever held the lock before us may have just
+  // installed the plan (that lookup was already counted as a miss).
+  const KeyedMutex::Guard flight = flights_.lock(fp.key);
+  if (auto hit = memory_.peek(fp.key)) {
+    if (origin != nullptr) *origin = Origin::kMemory;
+    return hit;
+  }
 
   bool rewrite_artifact = false;
   if (disk_) {

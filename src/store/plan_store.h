@@ -14,6 +14,7 @@
 #include "store/fingerprint.h"
 #include "store/memory_cache.h"
 #include "store/serialize.h"
+#include "store/single_flight.h"
 
 /// The plan store facade: memory tier over an optional disk tier over
 /// compilation.
@@ -31,10 +32,12 @@
 ///   4. compile via the supplied callback, then populate both
 ///      tiers                                                 -> kCompiled.
 ///
-/// Thread-safe throughout; a sweep shares one PlanStore across all of its
-/// workers.  Two workers racing to compile the same key both succeed and
-/// install identical values (plan compilation is deterministic -- that is
-/// what made it cacheable), so no per-key compile lock is needed.
+/// Thread-safe throughout; a sweep or a service shares one PlanStore
+/// across all of its workers.  Steps 3-4 are single-flight per key
+/// (store/single_flight.h): after a memory miss a caller takes the key's
+/// lock and re-checks memory, so callers racing one cold key compile it
+/// once and the rest are served from memory.  Memory hits never touch the
+/// lock.
 namespace wsn {
 
 class PlanStore {
@@ -110,6 +113,7 @@ class PlanStore {
 
   ShardedPlanCache memory_;
   std::optional<PlanDiskStore> disk_;
+  KeyedMutex flights_;  // per-key lock over the disk and compile tiers
 
   std::atomic<std::uint64_t> disk_hits_{0};
   std::atomic<std::uint64_t> disk_rejects_{0};

@@ -134,6 +134,36 @@ TEST(BenchDiff, MismatchedSchemasAreSkippedWithANote) {
   EXPECT_NE(bad.notes[0].find("unknown schema"), std::string::npos);
 }
 
+// The service loadgen's documents are bench documents like any other:
+// the committed baseline diffs against itself metric by metric, and a
+// slower tail reads as a regression.
+TEST(BenchDiff, ServiceDocumentsAreDiffed) {
+  const std::string baseline =
+      std::string(WSN_REPO_DIR) + "/bench/baselines/BENCH_service.json";
+  const DiffReport self = diff_bench_files(baseline, baseline, {});
+  EXPECT_TRUE(self.notes.empty());
+  EXPECT_EQ(self.bench_a, "service_loadgen");
+  ASSERT_FALSE(self.metrics.empty());
+  EXPECT_EQ(self.count("equal"), self.metrics.size());
+  EXPECT_NE(find_metric(self, "warm_plan", "runs_per_sec"), nullptr);
+  EXPECT_NE(find_metric(self, "simulate", "p99_ms"), nullptr);
+
+  const JsonValue a = parse(
+      "{\"schema\":\"meshbcast.bench.service\",\"bench\":\"service_loadgen\","
+      "\"results\":[{\"name\":\"simulate\",\"runs_per_sec\":1000.0,"
+      "\"p99_ms\":1.0}]}");
+  const JsonValue b = parse(
+      "{\"schema\":\"meshbcast.bench.service\",\"bench\":\"service_loadgen\","
+      "\"results\":[{\"name\":\"simulate\",\"runs_per_sec\":1000.0,"
+      "\"p99_ms\":2.0}]}");
+  const DiffReport report = diff_bench_docs(a, b, {});
+  EXPECT_TRUE(report.notes.empty());
+  const DiffMetric* tail = find_metric(report, "simulate", "p99_ms");
+  ASSERT_NE(tail, nullptr);
+  EXPECT_EQ(tail->verdict, "regressed");
+  EXPECT_EQ(report.count("equal"), 1u);
+}
+
 TEST(BenchDiff, FileVariantDiffsAndJsonRoundTrips) {
   const TempDir tmp("files");
   const std::string path_a = (tmp.path / "a.json").string();

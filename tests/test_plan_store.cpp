@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -261,6 +264,44 @@ TEST(PlanStore, ConcurrentFetchesShareOneStore) {
   EXPECT_EQ(store.memory().size(), 8u);
   EXPECT_EQ(registry.counter("store.compiles").value(),
             store.stats().compiles);
+}
+
+// Four threads released together on one cold key: the compile is
+// single-flight, so exactly one of them compiles (slowly, to hold the
+// race open) and the other three are served the same plan from memory.
+TEST(PlanStore, RacingColdFetchesCompileOnce) {
+  const auto topo = make_mesh("2D-4", 8, 6);
+  PlanStore store;
+  constexpr std::size_t kThreads = 4;
+  std::atomic<std::size_t> compile_calls{0};
+  const PlanStore::CompileFn compile = [&](ResolveReport& report) {
+    compile_calls.fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    return paper_plan(*topo, 5, {}, &report);
+  };
+
+  std::latch start(kThreads);
+  std::vector<PlanStore::Origin> origins(kThreads);
+  std::vector<std::shared_ptr<const StoredPlan>> plans(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      plans[t] = store.fetch_or_compile(*topo, 5, "paper", {}, compile,
+                                        &origins[t]);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_EQ(store.stats().compiles, 1u);
+  EXPECT_EQ(compile_calls.load(), 1u);
+  std::size_t compiled = 0;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    if (origins[t] == PlanStore::Origin::kCompiled) ++compiled;
+    EXPECT_EQ(plans[t], plans[0]);
+  }
+  EXPECT_EQ(compiled, 1u);
 }
 
 TEST(PlanStore, MetricsBindingMirrorsFacadeCounters) {

@@ -1,7 +1,7 @@
 // service/rpc: the meshbcast.rpc v1 codec -- strict layered parsing
 // (encoding, JSON, schema), id echo on every error path, and the
 // response/error frame renderers.  Plus the KeyedMutex single-flight
-// primitive the server builds plan deduplication on.
+// primitive the plan store builds compile deduplication on.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,7 @@
 
 #include "common/json.h"
 #include "service/rpc.h"
-#include "service/single_flight.h"
+#include "store/single_flight.h"
 
 namespace wsn {
 namespace {
@@ -288,7 +288,7 @@ TEST(RpcTest, KeyedMutexSerializesOnlySameKey) {
   threads.reserve(4);
   for (int t = 0; t < 3; ++t) {
     threads.emplace_back([&] {
-      const KeyedMutex::Guard guard = flights.lock("a");
+      const KeyedMutex::Guard guard = flights.lock(PlanKey{0, 1});
       const int now = in_a.fetch_add(1) + 1;
       int prev = max_in_a.load();
       while (now > prev && !max_in_a.compare_exchange_weak(prev, now)) {
@@ -298,8 +298,8 @@ TEST(RpcTest, KeyedMutexSerializesOnlySameKey) {
     });
   }
   threads.emplace_back([&] {
-    // A different key must not queue behind "a".
-    const KeyedMutex::Guard guard = flights.lock("b");
+    // A different key must not queue behind the first.
+    const KeyedMutex::Guard guard = flights.lock(PlanKey{0, 2});
     b_entered.store(true);
   });
   for (std::thread& thread : threads) thread.join();
@@ -310,7 +310,7 @@ TEST(RpcTest, KeyedMutexSerializesOnlySameKey) {
 TEST(RpcTest, KeyedMutexGuardMoves) {
   KeyedMutex flights;
   KeyedMutex::Guard outer = [&] {
-    KeyedMutex::Guard inner = flights.lock("k");
+    KeyedMutex::Guard inner = flights.lock(PlanKey{3, 4});
     return inner;
   }();
   // Still held after the move; releasing via destructor must not crash
@@ -318,7 +318,7 @@ TEST(RpcTest, KeyedMutexGuardMoves) {
   {
     KeyedMutex::Guard dropped = std::move(outer);
   }
-  const KeyedMutex::Guard again = flights.lock("k");
+  const KeyedMutex::Guard again = flights.lock(PlanKey{3, 4});
 }
 
 }  // namespace
